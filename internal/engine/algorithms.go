@@ -108,7 +108,7 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 		// Scan: find the sub-threshold survivors. Per-shard removed lists
 		// concatenate in fixed (machine, shard) order, so each machine's
 		// removed list comes out in ascending vertex order.
-		tasks := e.ownedShards()
+		tasks := shardLists(e.owned)
 		tcs := newTaskCounters(len(tasks), k, false)
 		found := make([][]graph.VertexID, len(tasks))
 		e.cl.RunTasks(len(tasks), func(t int) {
@@ -142,29 +142,18 @@ func (e *Engine) KCore(kCore int) (*KCoreResult, error) {
 				alive[v] = false
 			}
 		}
-		lens := make([]int, k)
-		for m := range lens {
-			lens[m] = len(removed[m])
-		}
-		ptasks := shardLists(lens)
+		ptasks := shardLists(removed)
 		ptcs := newTaskCounters(len(ptasks), k, w.Pairs != nil)
+		a := e.accounts()
 		e.cl.RunTasks(len(ptasks), func(t int) {
 			ts, tc := ptasks[t], &ptcs[t]
-			peel := func(v graph.VertexID, ns []graph.VertexID) {
-				for _, u := range ns {
-					tc.edges++
-					atomic.AddInt32(&degree[u], -1)
-					if o := e.cl.Owner(u); o != ts.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
-						}
+			for _, v := range removed[ts.m][ts.lo:ts.hi] {
+				for _, sd := range []*side{&a.out, &a.in} {
+					sd.charge(tc, v)
+					for _, u := range sd.adj.Neighbors(v) {
+						atomic.AddInt32(&degree[u], -1)
 					}
 				}
-			}
-			for _, v := range removed[ts.m][ts.lo:ts.hi] {
-				peel(v, e.g.Neighbors(v))
-				peel(v, tr.Neighbors(v))
 			}
 		})
 		combineCounters(w, ptasks, ptcs)

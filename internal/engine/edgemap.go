@@ -54,11 +54,12 @@ type machineShard struct {
 }
 
 // shardLists flattens the fixed shard decomposition of every machine's
-// work list (lens[m] = list length) into tasks, machine-major. Empty lists
-// still yield one empty shard so per-machine counters are always written.
-func shardLists(lens []int) []machineShard {
+// work list into tasks, machine-major. Empty lists still yield one empty
+// shard so per-machine counters are always written.
+func shardLists(lists [][]graph.VertexID) []machineShard {
 	var tasks []machineShard
-	for m, n := range lens {
+	for m, list := range lists {
+		n := len(list)
 		s := shardCount(n)
 		if n == 0 {
 			s = 1
@@ -204,11 +205,10 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		// Pull: every owned vertex still lacking a value scans its
 		// in-edges for a frontier parent.
 		tr := e.transpose()
-		lens := make([]int, k)
-		for m := range lens {
-			lens[m] = len(e.owned[m])
-		}
-		tasks = shardLists(lens)
+		tasks = shardLists(e.owned)
+		// Unlike a push, a pull scan stops at the first frontier parent, so
+		// how many arcs it reads depends on the frontier: it is charged per
+		// edge, not from the per-assignment accounting tables.
 		run = func(t machineShard, tc *taskCounters) {
 			scan := func(v graph.VertexID, ns []graph.VertexID) bool {
 				for _, u := range ns {
@@ -247,10 +247,6 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		// owned lists through the bitmap; sparse frontiers are split by
 		// owner — both iterate owned∩frontier in ascending vertex order,
 		// so the representation never changes a counter.
-		var tr *graph.Graph
-		if s.undirected {
-			tr = e.transpose()
-		}
 		var member []bool
 		var lists [][]graph.VertexID
 		if frontier.IsDense() {
@@ -266,21 +262,12 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 			}
 			lists = st.byOwner
 		}
-		lens := make([]int, k)
-		for m := range lens {
-			lens[m] = len(lists[m])
-		}
-		tasks = shardLists(lens)
+		tasks = shardLists(lists)
+		a := e.accounts()
 		run = func(t machineShard, tc *taskCounters) {
-			scatter := func(v graph.VertexID, ns []graph.VertexID) {
-				for _, u := range ns {
-					tc.edges++
-					if o := e.cl.Owner(u); o != t.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
-						}
-					}
+			scatter := func(v graph.VertexID, sd *side) {
+				sd.charge(tc, v)
+				for _, u := range sd.adj.Neighbors(v) {
 					if key := s.value(v, u); key < s.cur(u) {
 						atomicMinU64(&st.prop[u], key)
 					}
@@ -291,9 +278,9 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 					continue
 				}
 				tc.verts++
-				scatter(v, e.g.Neighbors(v))
+				scatter(v, &a.out)
 				if s.undirected {
-					scatter(v, tr.Neighbors(v))
+					scatter(v, &a.in)
 				}
 			}
 		}
@@ -346,23 +333,12 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 	}
 }
 
-// ownedShards is the dense vertex-map decomposition: every machine's full
-// owned list, sharded.
-func (e *Engine) ownedShards() []machineShard {
-	lens := make([]int, e.cl.NumMachines())
-	for m := range lens {
-		lens[m] = len(e.owned[m])
-	}
-	return shardLists(lens)
-}
-
 // chunkMap runs fn over fixed chunks of [0, n) on the worker pool —
 // the merge-side primitive. Chunk boundaries depend only on n; callers
 // combine per-chunk results in chunk index order.
-func (e *Engine) chunkMap(n int, fn func(chunk, lo, hi int)) int {
+func (e *Engine) chunkMap(n int, fn func(chunk, lo, hi int)) {
 	chunks := shardCount(n)
 	e.cl.RunTasks(chunks, func(c int) {
 		fn(c, c*n/chunks, (c+1)*n/chunks)
 	})
-	return chunks
 }

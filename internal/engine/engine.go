@@ -3,12 +3,13 @@
 // system running on the simulated cluster of internal/cluster.
 //
 // Per iteration, every machine processes the out-edges of the vertices it
-// owns in parallel (real goroutine parallelism, one goroutine per machine,
-// each writing only machine-private buffers), then buffers are merged and
-// the BSP barrier timing is settled by the cost model: an edge whose
-// endpoints live on different machines costs a message, and the iteration
-// lasts as long as its slowest machine. PageRank and Connected Components
-// are the two iteration-based applications the paper runs on Gemini (§4.1);
+// owns, sharded into fixed tasks on the cluster's bounded worker pool (each
+// task writing only task-private buffers), then buffers are merged and the
+// BSP barrier timing is settled by the cost model: an edge whose endpoints
+// live on different machines costs a message, and the iteration lasts as
+// long as its slowest machine; those charges come from per-assignment
+// accounting tables (accounting.go). PageRank and Connected Components are
+// the two iteration-based applications the paper runs on Gemini (§4.1);
 // BFS is included as the natural third traversal workload.
 package engine
 
@@ -33,6 +34,7 @@ type Engine struct {
 
 	trMu sync.Mutex
 	tr   *graph.Graph // transpose, built on demand (CC uses both directions)
+	acct *accounting  // cost tables for the current assignment, built on demand
 }
 
 // New builds an engine for g with the given vertex→machine assignment.
@@ -47,12 +49,9 @@ func New(g *graph.Graph, assignment []int, machines int, model cluster.CostModel
 	if err != nil {
 		return nil, err
 	}
-	owned := make([][]graph.VertexID, machines)
-	for v := 0; v < g.NumVertices(); v++ {
-		m := assignment[v]
-		owned[m] = append(owned[m], graph.VertexID(v))
-	}
-	return &Engine{g: g, cl: cl, owned: owned, tel: telemetry.Nop()}, nil
+	e := &Engine{g: g, cl: cl, tel: telemetry.Nop()}
+	e.reassign(assignment)
+	return e, nil
 }
 
 // Cluster exposes the underlying simulated cluster.
@@ -74,14 +73,16 @@ func (e *Engine) SetFaults(ctl *fault.Controller) error {
 	return nil
 }
 
-// reassign rebuilds ownership-derived structures after degraded-mode
-// restreaming moved vertices off a dead machine.
+// reassign (re)builds the ownership-derived structures: at construction,
+// and after degraded-mode restreaming moved vertices off a dead machine.
 func (e *Engine) reassign(assignment []int) {
 	owned := make([][]graph.VertexID, e.cl.NumMachines())
 	for v, m := range assignment {
 		owned[m] = append(owned[m], graph.VertexID(v))
 	}
-	e.owned = owned
+	e.trMu.Lock()
+	defer e.trMu.Unlock()
+	e.owned, e.acct = owned, nil
 }
 
 // prSnap, ccSnap and bfsSnap capture each algorithm's complete mutable
@@ -122,14 +123,9 @@ func (e *Engine) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry) {
 // not simulated time).
 func (e *Engine) SetResourceProbe(p telemetry.PhaseProbe) { e.cl.SetResourceProbe(p) }
 
-func (e *Engine) transpose() *graph.Graph {
-	e.trMu.Lock()
-	defer e.trMu.Unlock()
-	if e.tr == nil {
-		e.tr = e.g.Transpose()
-	}
-	return e.tr
-}
+// transpose returns the reversed adjacency, built on first use together
+// with the accounting tables every caller also charges from.
+func (e *Engine) transpose() *graph.Graph { return e.accounts().in.adj }
 
 // SetTranspose installs a precomputed transpose of the engine's graph,
 // letting callers that build many engines over the same graph (one per
@@ -141,7 +137,7 @@ func (e *Engine) SetTranspose(tr *graph.Graph) error {
 	}
 	e.trMu.Lock()
 	defer e.trMu.Unlock()
-	e.tr = tr
+	e.tr, e.acct = tr, nil
 	return nil
 }
 
@@ -171,9 +167,9 @@ func (e *Engine) PageRankUntil(maxIters int, damping, tol float64) (*PRResult, e
 	return e.pageRankPush(maxIters, damping, tol)
 }
 
-// pageRankPush is push-mode PageRank on the parallel kernel. The
-// communication accounting is push-semantics exactly as before — every
-// out-edge is traversed and a cut out-edge costs its owner one message —
+// pageRankPush is push-mode PageRank on the parallel kernel. Each
+// superstep is charged push semantics — every owned vertex's out-edges,
+// and one message per cut out-edge — from the accounting tables in O(k),
 // while the floating-point accumulation is per-destination over the
 // transpose in adjacency order, so each vertex's sum is produced by
 // exactly one chunk and the ranks are bit-identical at any worker count
@@ -186,16 +182,13 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		return nil, fmt.Errorf("engine: damping = %v, want [0,1)", damping)
 	}
 	n := e.g.NumVertices()
-	k := e.cl.NumMachines()
 	tr := e.transpose()
 	ranks := make([]float64, n)
 	for v := range ranks {
 		ranks[v] = 1 / float64(n)
 	}
 	contrib := make([]float64, n)
-	chunks := shardCount(n)
-	dangling := make([]float64, chunks)
-	deltas := make([]float64, chunks)
+	deltas := make([]float64, shardCount(n))
 
 	res := &PRResult{}
 	it := -1 // the initial snapshot is "superstep -1": restore replays from 0
@@ -221,47 +214,10 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		telemetry.Float("damping", damping),
 		telemetry.Float("tol", tol))
 	for it = 0; it < iters; it++ {
-		// Pre-phase: per-vertex contribution and dangling mass, per-chunk
-		// partials reduced in chunk order.
-		e.chunkMap(n, func(c, lo, hi int) {
-			var dang float64
-			for v := lo; v < hi; v++ {
-				if d := e.g.OutDegree(graph.VertexID(v)); d > 0 {
-					contrib[v] = ranks[v] / float64(d)
-				} else {
-					contrib[v] = 0
-					dang += ranks[v]
-				}
-			}
-			dangling[c] = dang
-		})
-		var danglingSum float64
-		for _, d := range dangling {
-			danglingSum += d
-		}
-		base := (1-damping)/float64(n) + damping*danglingSum/float64(n)
-
-		// Push accounting scan: every owned vertex's out-edges, sharded on
-		// the worker pool, integer counters only.
+		base := e.contributions(ranks, contrib, damping)
 		w := e.cl.NewCounters()
-		tasks := e.ownedShards()
-		tcs := newTaskCounters(len(tasks), k, w.Pairs != nil)
-		e.cl.RunTasks(len(tasks), func(t int) {
-			ts, tc := tasks[t], &tcs[t]
-			for _, v := range e.owned[ts.m][ts.lo:ts.hi] {
-				tc.verts++
-				for _, u := range e.g.Neighbors(v) {
-					tc.edges++
-					if o := e.cl.Owner(u); o != ts.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
-						}
-					}
-				}
-			}
-		})
-		combineCounters(w, tasks, tcs)
+		a := e.accounts()
+		combineCounters(w, a.machines, a.push)
 
 		// Rank update: per-destination sums in transpose adjacency order.
 		e.chunkMap(n, func(c, lo, hi int) {
@@ -305,6 +261,31 @@ func (e *Engine) pageRankPush(iters int, damping, tol float64) (*PRResult, error
 		telemetry.Float("sim_time_us", res.Stats.TotalTime()),
 		telemetry.Int64("messages", res.Stats.TotalMessages()))
 	return res, nil
+}
+
+// contributions is the PageRank pre-phase: contrib[v] = ranks[v] /
+// outdeg(v), and the returned base term spreads the teleport and dangling
+// mass evenly. Dangling partials are per chunk, reduced in chunk order.
+func (e *Engine) contributions(ranks, contrib []float64, damping float64) float64 {
+	n := len(ranks)
+	dangling := make([]float64, shardCount(n))
+	e.chunkMap(n, func(c, lo, hi int) {
+		var dang float64
+		for v := lo; v < hi; v++ {
+			if d := e.g.OutDegree(graph.VertexID(v)); d > 0 {
+				contrib[v] = ranks[v] / float64(d)
+			} else {
+				contrib[v] = 0
+				dang += ranks[v]
+			}
+		}
+		dangling[c] = dang
+	})
+	var danglingSum float64
+	for _, d := range dangling {
+		danglingSum += d
+	}
+	return (1-damping)/float64(n) + damping*danglingSum/float64(n)
 }
 
 // CCResult is the outcome of a Connected Components run.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bpart/internal/cluster"
 	"bpart/internal/fault"
 	"bpart/internal/gen"
 	"bpart/internal/graph"
@@ -108,34 +109,16 @@ func TestPageRankPullRollbackIdentical(t *testing.T) {
 			t.Fatalf("pull rank[%d] differs: %v vs %v", v, base.Ranks[v], got.Ranks[v])
 		}
 	}
-	// Pull-mode replay must also re-count mirror messages identically:
-	// compare per-iteration message totals for the replayed window against
-	// the baseline's same logical supersteps.
-	baseMsgs := make([]int64, 0, len(base.Stats.Iterations))
-	for _, it := range base.Stats.Iterations {
-		var m int64
-		for _, x := range it.Work.Messages {
-			m += x
-		}
-		baseMsgs = append(baseMsgs, m)
+	// Pull-mode replay must re-charge every mirror: the run's algorithm
+	// supersteps are logical supersteps 0–5, then 4–7 after the rollback
+	// to the superstep-3 checkpoint, and each must carry exactly the
+	// fault-free run's counters for the same logical superstep.
+	var want []cluster.Counters
+	for _, it := range append(append([]cluster.IterationStats(nil), base.Stats.Iterations[:6]...), base.Stats.Iterations[4:]...) {
+		want = append(want, it.Work)
 	}
-	// The recovered run's final *algorithm* superstep corresponds to the
-	// baseline's final iteration (recovery barriers carry zero work, so
-	// skip them); both runs end at logical superstep 7.
-	lastBase := baseMsgs[len(baseMsgs)-1]
-	var lastGot int64 = -1
-	for _, it := range got.Stats.Iterations {
-		var verts, msgs int64
-		for i := range it.Work.Vertices {
-			verts += it.Work.Vertices[i]
-			msgs += it.Work.Messages[i]
-		}
-		if verts > 0 {
-			lastGot = msgs
-		}
-	}
-	if lastBase != lastGot {
-		t.Fatalf("final superstep messages differ: %d vs %d (stale mirror stamps on replay?)", lastBase, lastGot)
+	if d := diffWork(algoSupersteps(got.Stats.Iterations), want); d != "" {
+		t.Fatalf("replayed pull counters differ from the fault-free run: %s", d)
 	}
 }
 

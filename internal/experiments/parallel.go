@@ -41,30 +41,29 @@ var benchParallelSchemes = []string{"Chunk-V", "BPart"}
 var benchParallelWidths = []int{1, 2, 4}
 
 // parallelEngineSpec is one engine workload of the sweep: run executes the
-// algorithm and returns the marshaled result (outputs + RunStats, the
-// byte-identity evidence) plus the run's simulated time.
+// algorithm and returns its result (outputs + RunStats, marshaled after the
+// stopwatch stops as the byte-identity evidence) plus the run's simulated
+// time.
 type parallelEngineSpec struct {
 	name string
-	run  func(e *engine.Engine) ([]byte, float64, error)
+	run  func(e *engine.Engine) (any, float64, error)
 }
 
 func parallelEngineSpecs() []parallelEngineSpec {
 	return []parallelEngineSpec{
-		{"PageRank", func(e *engine.Engine) ([]byte, float64, error) {
+		{"PageRank", func(e *engine.Engine) (any, float64, error) {
 			r, err := e.PageRank(parallelPRIters, 0.85)
 			if err != nil {
 				return nil, 0, err
 			}
-			b, err := json.Marshal(r)
-			return b, r.Stats.TotalTime(), err
+			return r, r.Stats.TotalTime(), nil
 		}},
-		{"CC", func(e *engine.Engine) ([]byte, float64, error) {
+		{"CC", func(e *engine.Engine) (any, float64, error) {
 			r, err := e.ConnectedComponents(0)
 			if err != nil {
 				return nil, 0, err
 			}
-			b, err := json.Marshal(r)
-			return b, r.Stats.TotalTime(), err
+			return r, r.Stats.TotalTime(), nil
 		}},
 	}
 }
@@ -104,7 +103,11 @@ func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasure
 			// The 1-worker reference run: its bytes are the identity oracle
 			// for every width (and it warms the graph/partition memos).
 			e.Cluster().SetWorkers(1)
-			ref, _, err := spec.run(e)
+			r, _, err := spec.run(e)
+			if err != nil {
+				return nil, fmt.Errorf("parallel speedup: %s/%s reference: %w", spec.name, scheme, err)
+			}
+			ref, err := json.Marshal(r)
 			if err != nil {
 				return nil, fmt.Errorf("parallel speedup: %s/%s reference: %w", spec.name, scheme, err)
 			}
@@ -121,12 +124,18 @@ func runParallel(opt Options, schemes []string, widths []int) ([]ParallelMeasure
 							telemetry.String("scheme", spec.name+"/"+scheme),
 							telemetry.Int("workers", wk))
 					}
+					// Only the engine call is timed; marshaling the
+					// identity evidence happens after the stopwatch stops.
 					sw := telemetry.NewStopwatch()
-					b, sim, err := spec.run(e)
+					r, sim, err := spec.run(e)
 					us := sw.Seconds() * 1e6
 					if pe != nil {
 						pe.EndPhase()
 					}
+					if err != nil {
+						return nil, fmt.Errorf("parallel speedup: %s/%s at %d workers: %w", spec.name, scheme, wk, err)
+					}
+					b, err := json.Marshal(r)
 					if err != nil {
 						return nil, fmt.Errorf("parallel speedup: %s/%s at %d workers: %w", spec.name, scheme, wk, err)
 					}
