@@ -189,7 +189,12 @@ func ChungLu(cfg Config) (*graph.Graph, error) {
 			commAlias[c] = xrand.NewAlias(xrand.PowerLawWeights(len(ms), 0.6, 1))
 		}
 	}
+	arcs := 0
+	for _, d := range degs {
+		arcs += d
+	}
 	b := graph.NewBuilder(n)
+	b.Reserve(arcs)
 	for v := 0; v < n; v++ {
 		for i := 0; i < degs[v]; i++ {
 			dst := drawDst(rng, alias, v, n, cfg, community, members, commAlias)
@@ -250,6 +255,7 @@ func Relabel(g *graph.Graph, perm []int) *graph.Graph {
 		panic(fmt.Sprintf("gen: perm length %d != |V| %d", len(perm), n))
 	}
 	b := graph.NewBuilder(n)
+	b.Reserve(g.NumEdges())
 	g.Edges(func(e graph.Edge) bool {
 		b.AddEdge(graph.VertexID(perm[e.Src]), graph.VertexID(perm[e.Dst]))
 		return true

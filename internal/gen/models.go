@@ -37,6 +37,7 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	m := n * cfg.EdgeFactor
 	rng := xrand.New(cfg.Seed)
 	b := graph.NewBuilder(n)
+	b.Reserve(m)
 	for i := 0; i < m; i++ {
 		src, dst := 0, 0
 		for bit := 0; bit < cfg.Scale; bit++ {
@@ -116,6 +117,7 @@ func ErdosRenyi(n int, avgDegree float64, seed uint64) (*graph.Graph, error) {
 	m := int(float64(n) * avgDegree)
 	rng := xrand.New(seed)
 	b := graph.NewBuilder(n)
+	b.Reserve(m)
 	for i := 0; i < m; i++ {
 		src := rng.Intn(n)
 		dst := rng.Intn(n - 1)

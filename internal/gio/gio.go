@@ -82,6 +82,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gio: scan: %w", err)
 	}
 	b.Grow(maxID + 1)
+	b.Reserve(len(srcs))
 	for i := range srcs {
 		b.AddEdge(srcs[i], dsts[i])
 	}

@@ -2,14 +2,17 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable CSR Graph.
 //
-// Build uses a two-pass counting-sort layout, so construction is O(|V|+|E|)
-// plus the per-vertex adjacency sort. A Builder may be reused after Build;
-// the built graph does not alias the builder's buffers.
+// AddEdge appends each arc to two staging slices, which grow by doubling
+// unless Reserve sized them up front; that growth, not the CSR layout, is
+// most of what building allocates. Build then lays the arcs out with a
+// two-pass counting sort in O(|V|+|E|) and sorts each adjacency list, which
+// costs O(d log d) for a vertex of degree d. A Builder may be reused after
+// Build; the built graph does not alias the builder's buffers.
 type Builder struct {
 	numVertices int
 	srcs        []VertexID
@@ -35,6 +38,15 @@ func (b *Builder) Grow(n int) {
 	if n > b.numVertices {
 		b.numVertices = n
 	}
+}
+
+// Reserve makes room for arcs more AddEdge calls without reallocating. It
+// is only a capacity hint: adding more arcs than reserved still works.
+// Call it only with a count the program itself computed, never with a size
+// read from untrusted input, because the memory is committed at once.
+func (b *Builder) Reserve(arcs int) {
+	b.srcs = slices.Grow(b.srcs, arcs)
+	b.dsts = slices.Grow(b.dsts, arcs)
 }
 
 // AddEdge records the directed arc (src, dst). Both endpoints must be below
@@ -72,17 +84,16 @@ func (b *Builder) Build() *Graph {
 		targets[cursor[s]] = b.dsts[i]
 		cursor[s]++
 	}
-	g := &Graph{offsets: offsets, targets: targets}
 	for v := 0; v < n; v++ {
-		ns := g.targets[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		slices.Sort(targets[offsets[v]:offsets[v+1]])
 	}
-	return g
+	return &Graph{offsets: offsets, targets: targets}
 }
 
 // FromEdges builds a graph with n vertices from an edge list.
 func FromEdges(n int, edges []Edge) *Graph {
 	b := NewBuilder(n)
+	b.Reserve(len(edges))
 	for _, e := range edges {
 		b.AddEdge(e.Src, e.Dst)
 	}
@@ -93,6 +104,11 @@ func FromEdges(n int, edges []Edge) *Graph {
 // holds the out-neighbors of v. Handy for table-driven tests.
 func FromAdjacency(adj [][]VertexID) *Graph {
 	b := NewBuilder(len(adj))
+	arcs := 0
+	for _, ns := range adj {
+		arcs += len(ns)
+	}
+	b.Reserve(arcs)
 	for v, ns := range adj {
 		for _, u := range ns {
 			b.AddEdge(VertexID(v), u)

@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. Dense, zero-based.
@@ -27,8 +27,11 @@ type Edge struct {
 // Graph is an immutable directed graph in CSR form.
 //
 // The zero value is an empty graph with no vertices. Construct non-empty
-// graphs with a Builder or FromEdges. All methods are safe for concurrent
-// use because the structure is never mutated after construction.
+// graphs with a Builder or FromEdges. Every adjacency list is sorted by
+// target in non-decreasing order (parallel arcs sit next to each other);
+// every constructor guarantees it, Validate checks it and HasEdge relies on
+// it. All methods are safe for concurrent use because the structure is never
+// mutated after construction.
 type Graph struct {
 	offsets []uint64 // len = numVertices+1
 	targets []VertexID
@@ -66,23 +69,11 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.NumEdges()) / float64(n)
 }
 
-// HasEdge reports whether the arc (src, dst) exists. The adjacency list of
-// src is scanned with binary search when sorted, linearly otherwise; graphs
-// built by Builder.Build always have sorted adjacency.
+// HasEdge reports whether the arc (src, dst) exists, by binary search over
+// the sorted adjacency of src.
 func (g *Graph) HasEdge(src, dst VertexID) bool {
-	ns := g.Neighbors(src)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= dst })
-	if i < len(ns) && ns[i] == dst {
-		return true
-	}
-	// Fall back to a linear scan in case the adjacency is unsorted
-	// (e.g. a graph assembled by tests via FromEdgesUnsorted).
-	for _, u := range ns {
-		if u == dst {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(g.Neighbors(src), dst)
+	return ok
 }
 
 // Edges calls fn for every arc in vertex order. It stops early if fn
@@ -109,14 +100,33 @@ func (g *Graph) EdgeList() []Edge {
 
 // Transpose returns the graph with every arc reversed. Used by pull-style
 // computations and by tests that need in-neighbor access.
+//
+// It builds the CSR straight from g's in O(|V|+|E|): count in-degrees,
+// prefix-sum them into offsets, then fill each in-list by visiting sources
+// in ascending order, so every list comes out sorted with parallel arcs
+// kept, exactly as Builder.Build would lay it out, without the sort.
 func (g *Graph) Transpose() *Graph {
 	n := g.NumVertices()
-	b := NewBuilder(n)
-	g.Edges(func(e Edge) bool {
-		b.AddEdge(e.Dst, e.Src)
-		return true
-	})
-	return b.Build()
+	offsets := make([]uint64, n+1)
+	for _, u := range g.targets {
+		offsets[u+1]++
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	// Fill through offsets[u] as u's write cursor; afterwards offsets[u]
+	// holds u's end, which is offsets[u+1]'s final value, so shifting the
+	// array up one slot restores the starts.
+	targets := make([]VertexID, len(g.targets))
+	for v := 0; v < n; v++ {
+		for _, u := range g.Neighbors(VertexID(v)) {
+			targets[offsets[u]] = VertexID(v)
+			offsets[u]++
+		}
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	return &Graph{offsets: offsets, targets: targets}
 }
 
 // Degrees returns a freshly allocated slice of out-degrees.
@@ -128,8 +138,8 @@ func (g *Graph) Degrees() []int {
 	return d
 }
 
-// Validate checks structural invariants: monotone offsets and in-range
-// targets. It returns nil for a well-formed graph.
+// Validate checks structural invariants: monotone offsets, in-range targets
+// and sorted adjacency lists. It returns nil for a well-formed graph.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n == 0 {
@@ -152,6 +162,11 @@ func (g *Graph) Validate() error {
 	for i, t := range g.targets {
 		if int(t) >= n {
 			return fmt.Errorf("graph: target %d of arc %d out of range [0,%d)", t, i, n)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if !slices.IsSorted(g.Neighbors(VertexID(v))) {
+			return fmt.Errorf("graph: adjacency of vertex %d not sorted", v)
 		}
 	}
 	return nil

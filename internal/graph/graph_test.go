@@ -77,6 +77,19 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnsorted pins the invariant HasEdge's binary search
+// relies on: an adjacency list out of order is malformed.
+func TestValidateRejectsUnsorted(t *testing.T) {
+	g := &Graph{offsets: []uint64{0, 1, 4}, targets: []VertexID{1, 1, 0, 1}}
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepted vertex 1's unsorted adjacency [1 0 1]")
+	}
+	g.targets[1] = 0 // [0 0 1]: sorted, with a parallel arc
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate rejected sorted adjacency: %v", err)
+	}
+}
+
 func TestAddUndirected(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddUndirected(0, 1)
