@@ -196,6 +196,69 @@ func BenchmarkPartitionProbeNop(b *testing.B) {
 	}
 }
 
+// Per-kernel engine benchmarks: the host time and allocations of one
+// PageRank (10 iterations), Connected Components or BFS run on
+// friendster-sim at benchScale, k=8, under the BPart and Chunk-V
+// placements (one sub-benchmark each). Generation, partitioning and the
+// first run, which builds the transpose and the accounting tables, stay
+// outside the timer. Compare before and after a kernel change with:
+//
+//	go test -run '^$' -bench 'Engine' -benchmem -count 10 .
+func benchEngine(b *testing.B, run func(e *IterationEngine, src VertexID) error) {
+	b.Helper()
+	g, err := Preset(FriendsterSim, benchScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := VertexID(0)
+	for g.OutDegree(src) == 0 {
+		src++
+	}
+	for _, scheme := range []string{"BPart", "Chunk-V"} {
+		b.Run(scheme, func(b *testing.B) {
+			a, err := Partition(g, scheme, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := NewIterationEngine(g, a, DefaultCostModel())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := run(e, src); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := run(e, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkEnginePageRank(b *testing.B) {
+	benchEngine(b, func(e *IterationEngine, _ VertexID) error {
+		_, err := e.PageRank(10, 0.85)
+		return err
+	})
+}
+
+func BenchmarkEngineCC(b *testing.B) {
+	benchEngine(b, func(e *IterationEngine, _ VertexID) error {
+		_, err := e.ConnectedComponents(0)
+		return err
+	})
+}
+
+func BenchmarkEngineBFS(b *testing.B) {
+	benchEngine(b, func(e *IterationEngine, src VertexID) error {
+		_, err := e.BFS(src)
+		return err
+	})
+}
+
 // Fault-hook overhead: the iteration engine with no controller attached
 // (the default) versus one with an idle controller — empty schedule,
 // interval checkpoints disabled — so only the per-superstep protocol

@@ -29,7 +29,7 @@ type SSSPResult struct {
 }
 
 // SSSP runs frontier-based Bellman–Ford over out-edges from source with
-// the synthetic EdgeWeight weights. Each BSP iteration is one push-mode
+// the synthetic EdgeWeight weights. Each BSP iteration is one push-charged
 // edge-map relaxing the out-edges of the vertices whose distance improved
 // in the previous one; distances are non-negative, so they serve directly
 // as the kernel's min-combine keys.
@@ -47,9 +47,8 @@ func (e *Engine) SSSP(source graph.VertexID) (*SSSPResult, error) {
 	frontier := SubsetFromVertices(n, []graph.VertexID{source})
 	st := e.newKernelState()
 	spec := &edgeMapSpec{
-		value: func(src, dst graph.VertexID) uint64 {
-			return uint64(dist[src] + EdgeWeight(src, dst))
-		},
+		key:    func(src graph.VertexID) uint64 { return uint64(dist[src]) },
+		weight: func(src, dst graph.VertexID) uint64 { return uint64(EdgeWeight(src, dst)) },
 		cur: func(v graph.VertexID) uint64 {
 			if dist[v] < 0 {
 				return unsetKey

@@ -34,7 +34,7 @@ func (e *Engine) BFSDirectionOptimizing(source graph.VertexID) (*BFSResult, erro
 	st := e.newKernelState()
 	depth := int32(0)
 	spec := &edgeMapSpec{
-		value: func(src, dst graph.VertexID) uint64 { return uint64(depth) },
+		key: func(graph.VertexID) uint64 { return uint64(depth) },
 		cur: func(v graph.VertexID) uint64 {
 			if dist[v] < 0 {
 				return unsetKey

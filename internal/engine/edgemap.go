@@ -10,9 +10,11 @@
 //     of the work-list length — never of the worker count. Each shard
 //     accumulates into shard-private counters, combined in fixed
 //     (machine, shard) order after the phase barrier.
-//   - Proposals land in a shared buffer through compare-and-swap *minimum*,
-//     a commutative and idempotent combine whose fixed point is the same
-//     whatever order workers fire in.
+//   - A vertex's proposal is the minimum key over its frontier neighbours.
+//     A dense superstep gathers it in the one shard owning the vertex and
+//     stores it with a plain write; a sparse one pushes it through
+//     compare-and-swap *minimum*, a commutative and idempotent combine
+//     whose fixed point is the same whatever order workers fire in.
 //   - Floating-point sums never cross shard boundaries unordered: each
 //     destination vertex is summed by exactly one chunk in adjacency
 //     order, and per-chunk partials are reduced in chunk index order.
@@ -135,31 +137,41 @@ const (
 // proposal keys (order-preserving encodings of the algorithm's value:
 // label, distance, depth). Smaller is better; unsetKey means "no value".
 type edgeMapSpec struct {
-	// value is the key proposed along arc (src, dst). src is always the
-	// frontier side: the pull direction discovers the same arcs from dst's
-	// in-edges and calls value with the same orientation.
-	value func(src, dst graph.VertexID) uint64
+	// key is the proposal frontier vertex src sends along every arc. It
+	// depends only on src, so a gather superstep evaluates it once per
+	// frontier vertex into the kernel's key array.
+	key func(src graph.VertexID) uint64
+	// weight, if set, is added to src's key along arc (src, dst) (SSSP).
+	weight func(src, dst graph.VertexID) uint64
 	// cur is v's current key; proposals not strictly below it are ignored.
 	cur func(v graph.VertexID) uint64
 	// apply commits an improved key during the merge phase. It is called
 	// exactly once per improved vertex, from the single chunk owning it.
 	apply func(v graph.VertexID, key uint64)
-	// undirected also scans the reverse adjacency, computing over the
+	// undirected also relaxes the reverse adjacency, computing over the
 	// undirected closure (Connected Components).
 	undirected bool
-	// auto enables Beamer direction switching; otherwise every superstep
-	// pushes. Pull supersteps charge edges and messages to the scanning
+	// auto enables Beamer direction switching (BFS only, so it comes with
+	// stopEarly); otherwise every superstep is charged as a push. Pull
+	// supersteps charge edges and messages to the scanning
 	// (destination-owning) machine, exactly as the hand-written DOBFS did.
 	auto bool
-	// stopEarly stops a pull scan of one vertex's in-edges at the first
-	// frontier hit (BFS semantics: any parent will do — and with a uniform
-	// key per superstep the early exit cannot change the committed value).
+	// stopEarly marks BFS semantics: every proposal of a superstep is the
+	// same key, and it cannot improve a vertex that already has one. A
+	// gather then skips settled vertices and stops scanning at the first
+	// frontier neighbour (any parent will do).
 	stopEarly bool
 }
 
 // kernelState is the per-run scratch of the edge-map kernel.
 type kernelState struct {
-	prop    []uint64           // shared proposal buffer, CAS-min
+	// prop holds each vertex's best proposal of the superstep: CAS-min
+	// from a sparse push, a plain write by the vertex's one gathering
+	// shard otherwise. The merge phase resets it to unsetKey.
+	prop []uint64
+	// skey is a gather superstep's per-source key: key(u) for frontier
+	// members, unsetKey elsewhere (and everywhere between supersteps).
+	skey    []uint64
 	byOwner [][]graph.VertexID // sparse-frontier split scratch
 }
 
@@ -167,10 +179,11 @@ func (e *Engine) newKernelState() *kernelState {
 	n := e.g.NumVertices()
 	st := &kernelState{
 		prop:    make([]uint64, n),
+		skey:    make([]uint64, n),
 		byOwner: make([][]graph.VertexID, e.cl.NumMachines()),
 	}
 	for i := range st.prop {
-		st.prop[i] = unsetKey
+		st.prop[i], st.skey[i] = unsetKey, unsetKey
 	}
 	return st
 }
@@ -183,11 +196,13 @@ type edgeMapOut struct {
 	bottomUp      bool
 }
 
-// edgeMap advances one superstep: scatter the frontier's proposals (push)
-// or gather them from in-edges (pull), then merge improvements into the
-// algorithm state and build the next frontier. Counters for the superstep
-// are accumulated into w with the same semantics as the hand-written
-// per-algorithm loops this kernel replaced.
+// edgeMap advances one superstep: relax the frontier's proposals into the
+// proposal buffer, then merge improvements into the algorithm state and
+// build the next frontier. Charge and compute direction are separate: a
+// superstep is charged as a push (from the accounting tables) unless auto
+// picks a bottom-up pull (charged per arc read), and it is computed as a
+// gather from the key array when it pulls or the frontier is dense, as a
+// CAS-min scatter otherwise. Both commit the same minimum per vertex.
 func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset, frontierEdges int64, w *cluster.Counters) edgeMapOut {
 	n := e.g.NumVertices()
 	k := e.cl.NumMachines()
@@ -197,90 +212,111 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		bottomUp = frontierEdges > int64(m/dirAlpha) && frontier.Len() > n/dirBeta
 	}
 
-	// Scatter/gather phase: shard every machine's work list and run the
-	// shards on the worker pool.
+	// Relax phase: shard every machine's work list and run the shards on
+	// the worker pool.
 	var tasks []machineShard
 	var run func(t machineShard, tc *taskCounters)
-	if bottomUp {
-		// Pull: every owned vertex still lacking a value scans its
-		// in-edges for a frontier parent.
-		tr := e.transpose()
+	a := e.accounts()
+	if bottomUp || frontier.IsDense() {
+		// Gather: every owned vertex takes the minimum key over its
+		// in-neighbours (and out-neighbours, for undirected closures).
+		// Owned lists partition the vertices, so prop[v] has one writer.
+		frontier.ForEach(func(u graph.VertexID) { st.skey[u] = s.key(u) })
 		tasks = shardLists(e.owned)
-		// Unlike a push, a pull scan stops at the first frontier parent, so
-		// how many arcs it reads depends on the frontier: it is charged per
-		// edge, not from the per-assignment accounting tables.
+		// plain: no weight, no early exit and no per-arc charge, so a scan
+		// is a branch-free minimum (CC).
+		skey, plain := st.skey, !bottomUp && s.weight == nil && !s.stopEarly
 		run = func(t machineShard, tc *taskCounters) {
-			scan := func(v graph.VertexID, ns []graph.VertexID) bool {
+			// scan folds the keys along ns into best. A pull charges every
+			// arc it reads: its early exit makes that count depend on the
+			// frontier, so it cannot come from the accounting tables.
+			scan := func(v graph.VertexID, ns []graph.VertexID, best uint64) (uint64, bool) {
+				if plain {
+					for _, u := range ns {
+						best = min(best, skey[u])
+					}
+					return best, false
+				}
 				for _, u := range ns {
-					tc.edges++
-					if o := e.cl.Owner(u); o != t.m {
-						tc.msgs++
-						if tc.prow != nil {
-							tc.prow[o]++
+					if bottomUp {
+						tc.edges++
+						if o := e.cl.Owner(u); o != t.m {
+							tc.msgs++
+							if tc.prow != nil {
+								tc.prow[o]++
+							}
 						}
 					}
-					if frontier.Contains(u) {
-						atomicMinU64(&st.prop[v], s.value(u, v))
-						if s.stopEarly {
-							return true
-						}
+					key := skey[u]
+					if key == unsetKey {
+						continue
+					}
+					if s.weight != nil {
+						key += s.weight(u, v)
+					}
+					best = min(best, key)
+					if s.stopEarly {
+						return best, true
 					}
 				}
-				return false
+				return best, false
 			}
 			for _, v := range e.owned[t.m][t.lo:t.hi] {
-				if s.cur(v) != unsetKey {
+				cur := s.cur(v)
+				if !bottomUp && skey[v] != unsetKey {
+					// Charged as the push this superstep stands for.
+					tc.verts++
+					a.out.charge(tc, v)
+					if s.undirected {
+						a.in.charge(tc, v)
+					}
+				}
+				if s.stopEarly && cur != unsetKey {
 					continue
 				}
-				tc.verts++
-				if scan(v, tr.Neighbors(v)) {
-					continue
+				if bottomUp {
+					tc.verts++ // a pull charges every vertex it scans
 				}
-				if s.undirected {
-					scan(v, e.g.Neighbors(v))
+				best, hit := scan(v, a.in.adj.Neighbors(v), unsetKey)
+				if s.undirected && !hit {
+					best, _ = scan(v, e.g.Neighbors(v), best)
+				}
+				if best < cur {
+					st.prop[v] = best
 				}
 			}
 		}
 	} else {
-		// Push: frontier members scatter proposals along out-edges (and,
-		// for undirected closures, in-edges). Dense frontiers filter the
-		// owned lists through the bitmap; sparse frontiers are split by
-		// owner — both iterate owned∩frontier in ascending vertex order,
-		// so the representation never changes a counter.
-		var member []bool
-		var lists [][]graph.VertexID
-		if frontier.IsDense() {
-			member = frontier.Bitmap()
-			lists = e.owned
-		} else {
-			for m := range st.byOwner {
-				st.byOwner[m] = st.byOwner[m][:0]
-			}
-			for _, v := range frontier.Vertices() {
-				m := e.cl.Owner(v)
-				st.byOwner[m] = append(st.byOwner[m], v)
-			}
-			lists = st.byOwner
+		// Sparse push: frontier members, split by owner in ascending
+		// order, scatter their key along out-edges (and, for undirected
+		// closures, in-edges) with CAS-min.
+		for m := range st.byOwner {
+			st.byOwner[m] = st.byOwner[m][:0]
 		}
-		tasks = shardLists(lists)
-		a := e.accounts()
+		for _, v := range frontier.Vertices() {
+			m := e.cl.Owner(v)
+			st.byOwner[m] = append(st.byOwner[m], v)
+		}
+		tasks = shardLists(st.byOwner)
 		run = func(t machineShard, tc *taskCounters) {
-			scatter := func(v graph.VertexID, sd *side) {
+			scatter := func(v graph.VertexID, key uint64, sd *side) {
 				sd.charge(tc, v)
 				for _, u := range sd.adj.Neighbors(v) {
-					if key := s.value(v, u); key < s.cur(u) {
-						atomicMinU64(&st.prop[u], key)
+					ku := key
+					if s.weight != nil {
+						ku += s.weight(v, u)
+					}
+					if ku < s.cur(u) {
+						atomicMinU64(&st.prop[u], ku)
 					}
 				}
 			}
-			for _, v := range lists[t.m][t.lo:t.hi] {
-				if member != nil && !member[v] {
-					continue
-				}
+			for _, v := range st.byOwner[t.m][t.lo:t.hi] {
 				tc.verts++
-				scatter(v, &a.out)
+				key := s.key(v)
+				scatter(v, key, &a.out)
 				if s.undirected {
-					scatter(v, &a.in)
+					scatter(v, key, &a.in)
 				}
 			}
 		}
@@ -290,9 +326,9 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 	combineCounters(w, tasks, tcs)
 
 	// Merge phase: fixed chunks over the vertex space, each chunk applying
-	// its own vertices' improvements and resetting the proposal buffer.
-	// Chunk outputs are concatenated in chunk order, so the next frontier
-	// is sorted ascending however the chunks were scheduled.
+	// its own vertices' improvements and resetting the proposal buffer and
+	// the key array. Chunk outputs are concatenated in chunk order, so the
+	// next frontier is sorted ascending however the chunks were scheduled.
 	chunks := shardCount(n)
 	outs := make([][]graph.VertexID, chunks)
 	fedges := make([]int64, chunks)
@@ -301,6 +337,7 @@ func (e *Engine) edgeMap(s *edgeMapSpec, st *kernelState, frontier *VertexSubset
 		var members []graph.VertexID
 		var fe int64
 		for v := lo; v < hi; v++ {
+			st.skey[v] = unsetKey
 			key := st.prop[v]
 			if key == unsetKey {
 				continue

@@ -1,14 +1,15 @@
 // Package engine is the Gemini-like distributed graph engine of the
-// reproduction: a vertex-centric, push-style, bulk-synchronous-parallel
-// system running on the simulated cluster of internal/cluster.
+// reproduction: a vertex-centric, bulk-synchronous-parallel system running
+// on the simulated cluster of internal/cluster.
 //
-// Per iteration, every machine processes the out-edges of the vertices it
-// owns, sharded into fixed tasks on the cluster's bounded worker pool (each
-// task writing only task-private buffers), then buffers are merged and the
-// BSP barrier timing is settled by the cost model: an edge whose endpoints
-// live on different machines costs a message, and the iteration lasts as
-// long as its slowest machine; those charges come from per-assignment
-// accounting tables (accounting.go). PageRank and Connected Components are
+// Per iteration, every machine is charged for the out-edges of the active
+// vertices it owns, as Gemini's push processes them. The host computes in
+// whichever direction is cheaper (a gather for a dense frontier, a scatter
+// from a sparse one), in fixed tasks on the cluster's bounded worker pool.
+// Then buffers are merged and the BSP barrier timing is settled by the
+// cost model: an edge whose endpoints live on different machines costs a
+// message, and the iteration lasts as long as its slowest machine; those
+// charges come from per-assignment accounting tables (accounting.go). PageRank and Connected Components are
 // the two iteration-based applications the paper runs on Gemini (§4.1);
 // BFS is included as the natural third traversal workload.
 package engine
@@ -300,9 +301,9 @@ type CCResult struct {
 // ConnectedComponents runs frontier-based label propagation over the
 // undirected closure (out- and in-edges) until convergence, computing weak
 // components. maxIters <= 0 means "until convergence". The propagation is
-// one edge-map per superstep: the frontier (initially every vertex)
-// scatters labels with a min-combine, and the vertices whose label
-// improved form the next frontier.
+// one edge-map per superstep: every vertex takes the minimum label of its
+// frontier neighbours (initially every vertex is in the frontier), and the
+// vertices whose label improved form the next frontier.
 func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 	n := e.g.NumVertices()
 	labels := make([]uint32, n)
@@ -312,7 +313,7 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 	frontier := FullVertexSubset(n)
 	st := e.newKernelState()
 	spec := &edgeMapSpec{
-		value:      func(src, dst graph.VertexID) uint64 { return uint64(labels[src]) },
+		key:        func(src graph.VertexID) uint64 { return uint64(labels[src]) },
 		cur:        func(v graph.VertexID) uint64 { return uint64(labels[v]) },
 		apply:      func(v graph.VertexID, key uint64) { labels[v] = uint32(key) },
 		undirected: true,
@@ -358,11 +359,13 @@ func (e *Engine) ConnectedComponents(maxIters int) (*CCResult, error) {
 		res.Recovery = &rec
 	}
 	res.Labels = labels
-	seen := map[uint32]struct{}{}
+	seen := make([]bool, n) // labels are vertex IDs
 	for _, l := range labels {
-		seen[l] = struct{}{}
+		if !seen[l] {
+			seen[l] = true
+			res.Components++
+		}
 	}
-	res.Components = len(seen)
 	e.reg.Histogram("engine_run_sim_time_us").Observe(res.Stats.TotalTime())
 	sp.End(
 		telemetry.Int("iterations", len(res.Stats.Iterations)),
@@ -396,14 +399,15 @@ func (e *Engine) BFS(source graph.VertexID) (*BFSResult, error) {
 	res := &BFSResult{}
 	depth := int32(0)
 	spec := &edgeMapSpec{
-		value: func(src, dst graph.VertexID) uint64 { return uint64(depth) },
+		key: func(graph.VertexID) uint64 { return uint64(depth) },
 		cur: func(v graph.VertexID) uint64 {
 			if dist[v] < 0 {
 				return unsetKey
 			}
 			return uint64(dist[v])
 		},
-		apply: func(v graph.VertexID, key uint64) { dist[v] = int32(key) },
+		apply:     func(v graph.VertexID, key uint64) { dist[v] = int32(key) },
+		stopEarly: true,
 	}
 	if e.flt != nil {
 		err := e.flt.BeginRun(fault.Hooks{

@@ -19,8 +19,8 @@ type VertexSubset struct {
 
 // denseRatio is the switch threshold: a subset goes dense when it holds
 // more than n/denseRatio members, sparse again below. Ligra uses |V|/20
-// for its edge-map threshold; /10 keeps the bitmap worthwhile for the
-// membership tests the pull direction does per in-edge.
+// for its edge-map threshold; here a dense frontier is also what turns an
+// edge-map superstep from a scatter into a gather (edgemap.go).
 const denseRatio = 10
 
 // NewVertexSubset returns the empty subset over [0, n).
@@ -90,32 +90,6 @@ func (s *VertexSubset) Len() int { return s.count }
 
 // IsDense reports whether the bitmap representation is active.
 func (s *VertexSubset) IsDense() bool { return s.dense != nil }
-
-// Contains reports membership of v.
-func (s *VertexSubset) Contains(v graph.VertexID) bool {
-	if s.dense != nil {
-		return s.dense[v]
-	}
-	// Binary search the sorted sparse form.
-	lo, hi := 0, len(s.sparse)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.sparse[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s.sparse) && s.sparse[lo] == v
-}
-
-// Bitmap returns a dense membership view of the subset, converting if
-// needed. The returned slice is the subset's own storage — read-only for
-// callers, valid until the subset is mutated.
-func (s *VertexSubset) Bitmap() []bool {
-	s.toDense()
-	return s.dense
-}
 
 // Vertices returns the members in ascending order, converting if needed.
 // The returned slice is the subset's own storage — read-only for callers.

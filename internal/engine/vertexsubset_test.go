@@ -16,13 +16,21 @@ func members(vs ...int) []graph.VertexID {
 	return out
 }
 
+// contains reports membership of v through ForEach, which walks
+// whichever representation is active.
+func contains(s *VertexSubset, v graph.VertexID) bool {
+	found := false
+	s.ForEach(func(u graph.VertexID) { found = found || u == v })
+	return found
+}
+
 func TestVertexSubsetEmptyAndFull(t *testing.T) {
 	const n = 50
 	empty := NewVertexSubset(n)
 	if empty.Len() != 0 || empty.N() != n || empty.IsDense() {
 		t.Fatalf("empty subset: len=%d n=%d dense=%t", empty.Len(), empty.N(), empty.IsDense())
 	}
-	if empty.Contains(0) || empty.Contains(n-1) {
+	if contains(empty, 0) || contains(empty, n-1) {
 		t.Fatal("empty subset contains a vertex")
 	}
 	empty.ForEach(func(v graph.VertexID) { t.Fatalf("ForEach visited %d on empty subset", v) })
@@ -44,7 +52,7 @@ func TestVertexSubsetEmptyAndFull(t *testing.T) {
 		t.Fatalf("ForEach visited %d of %d", seen, n)
 	}
 	for v := 0; v < n; v++ {
-		if !full.Contains(graph.VertexID(v)) {
+		if !contains(full, graph.VertexID(v)) {
 			t.Fatalf("full subset missing %d", v)
 		}
 	}
@@ -65,9 +73,10 @@ func TestVertexSubsetThresholdSwitching(t *testing.T) {
 		t.Fatalf("%d/%d members stayed sparse past the threshold", big.Len(), n)
 	}
 	// Conversions are views of the same set: membership survives both ways.
-	bm := small.Bitmap()
+	small.toDense()
+	bm := small.dense
 	if !small.IsDense() {
-		t.Fatal("Bitmap did not convert to dense")
+		t.Fatal("toDense did not convert to dense")
 	}
 	if !bm[17] || bm[18] {
 		t.Fatal("bitmap view wrong")
@@ -93,7 +102,7 @@ func TestSubsetMembersDoesNotConvert(t *testing.T) {
 	}
 	// The copy is fresh storage: mutating it must not touch the subset.
 	got[0] = graph.VertexID(n + 1)
-	if !s.Contains(0) {
+	if !contains(s, 0) {
 		t.Fatal("subsetMembers aliased subset storage")
 	}
 }
@@ -127,8 +136,8 @@ func FuzzVertexSubsetRoundTrip(f *testing.F) {
 				t.Fatalf("%s: len=%d n=%d, want %d/%d", stage, s.Len(), s.N(), len(want), n)
 			}
 			for v := 0; v < n; v++ {
-				if s.Contains(graph.VertexID(v)) != want[v] {
-					t.Fatalf("%s: Contains(%d) = %t", stage, v, !want[v])
+				if contains(s, graph.VertexID(v)) != want[v] {
+					t.Fatalf("%s: contains(%d) = %t", stage, v, !want[v])
 				}
 			}
 			var visited []graph.VertexID
@@ -143,11 +152,11 @@ func FuzzVertexSubsetRoundTrip(f *testing.F) {
 			}
 		}
 		check("settled")
-		s.Bitmap() // force dense
+		s.toDense() // force dense
 		check("dense")
 		s.Vertices() // force sparse
 		check("sparse")
-		s.Bitmap() // and back again
+		s.toDense() // and back again
 		check("dense-again")
 	})
 }
